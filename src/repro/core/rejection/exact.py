@@ -11,14 +11,16 @@ visiting a tiny fraction of the tree; it extends the exact range to the
 mid-20s and serves as an independent implementation to cross-check the
 oracle in tests.
 
-Subset-sum tables, the feasible-subset scan, and the piecewise-linear
-breakpoint sweep of the fractional bound run on the active array kernel
-(:mod:`repro.kernels`).
+Subset-sum tables and the feasible-subset scan run on the active array
+kernel (:mod:`repro.kernels`); the branch-and-bound node bound is a
+closed form over a per-call KKT table (:func:`suffix_bound`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 
 from repro._validation import fits
 from repro.core.rejection.greedy import greedy_marginal
@@ -70,58 +72,90 @@ def exhaustive(problem: RejectionProblem) -> RejectionSolution:
     return problem.solution(accepted, algorithm="exhaustive")
 
 
-def _suffix_fractional_value(
-    kern,
+def stationary_workloads(
+    energy_fn, densities: Sequence[float], hi: float
+) -> list[float]:
+    """Non-decreasing ``W_k = argmin_{W in [0, hi]} g(W) - densities[k] * W``.
+
+    ``W_k`` is the total accepted workload at which ``g'`` meets the
+    marginal density ``d_k`` (the KKT point of a bound piece whose
+    fractional task has density ``d_k``).  Each distinct density costs
+    one golden-section search; its result snaps to an endpoint that is
+    no worse, because the search stops a hair inside the bracket and
+    where ``g`` is near-linear that error is first order.  The running
+    max keeps ``W`` monotone in ``k`` (densities ascend) despite fp noise.
+    """
+    energy = energy_fn.energy
+    by_density: dict[float, float] = {}
+    out: list[float] = []
+    running = 0.0
+    for d in densities:
+        w = by_density.get(d)
+        if w is None:
+
+            def tilted(x: float, d: float = d) -> float:
+                return energy(x) - d * x
+
+            w, fw = _minimize_convex(tilted, 0.0, hi)
+            for end in (0.0, hi):
+                f_end = tilted(end)
+                if f_end <= fw:
+                    w, fw = end, f_end
+            by_density[d] = w
+        running = max(running, w)
+        out.append(running)
+    return out
+
+
+def suffix_bound(
     energy_fn,
     cap: float,
-    base_workload: float,
-    base_penalty: float,
-    densities: list[float],
-    cum_c,
-    cum_p,
-    start: int,
-) -> float:
-    """Lower bound on completing a partial solution.
+    densities: Sequence[float],
+    cum_c: Sequence[float],
+    cum_p: Sequence[float],
+) -> Callable[[int, float, float], float]:
+    """The fractional completion bound of a branch-and-bound node.
 
-    The first ``start`` tasks (density order) are already decided with
-    ``base_workload`` accepted cycles and ``base_penalty`` rejected
-    penalty; the remaining suffix may be accepted fractionally.  Returns
-    the convex-relaxation value of the best completion: the golden-section
-    minimum of the continuous objective, tightened by the kernel's sweep
-    over the shed-cost breakpoints.
+    Returns ``bound(start, workload, penalty)``: the first ``start``
+    tasks (density order) are decided with ``workload`` accepted cycles
+    and ``penalty`` rejected penalty, and the suffix may be accepted
+    fractionally.  The bound minimises the convex
+    ``penalty + g(workload + w) + suffix_shed_cost(..., suffix - w)``
+    over the accepted suffix cycles ``w`` in closed form (docs/theory.md
+    §5): a piece ``k`` covers ``w`` in ``[C - cum_c[k+1], C - cum_c[k]]``
+    (``C = cum_c[n]``) whatever ``start`` is, inside it the minimiser is
+    ``W_k - workload`` clamped to the piece, and the optimum lies on the
+    first piece from ``start`` with ``workload <= v_k = W_k - (C -
+    cum_c[k+1])``.  ``v`` is non-decreasing, so that piece is one bisect
+    away, and each node costs one ``g`` evaluation.
     """
-    suffix_total = cum_c[-1] - cum_c[start]
-    room = cap - base_workload
-    if room < -1e-12:
-        return math.inf
-    w_hi = min(suffix_total, max(room, 0.0))
+    n = len(densities)
+    total = cum_c[n]
+    stationary = stationary_workloads(energy_fn, densities, min(cap, total))
+    thresholds = [stationary[k] - (total - cum_c[k + 1]) for k in range(n)]
+    energy = energy_fn.energy
 
-    g_energy = energy_fn.energy
-
-    def objective(w: float) -> float:
+    def bound(start: int, workload: float, penalty: float) -> float:
+        room = cap - workload
+        if room < -1e-12:
+            return math.inf
+        suffix = total - cum_c[start]
+        k = bisect_left(thresholds, workload, start, n)
+        if k == n:
+            w = 0.0
+        else:
+            w = min(
+                max(stationary[k] - workload, total - cum_c[k + 1]),
+                total - cum_c[k],
+            )
+        w = min(max(w, 0.0), suffix, max(room, 0.0))
         return (
-            base_penalty
-            + g_energy(min(base_workload + w, cap))
-            + suffix_shed_cost(cum_c, cum_p, densities, start, suffix_total - w)
+            penalty
+            + energy(min(workload + w, cap))
+            + suffix_shed_cost(cum_c, cum_p, densities, start, suffix - w)
         )
 
-    _, val = _minimize_convex(objective, 0.0, w_hi)
-    # Breakpoints of the piecewise-linear shed cost, for robustness.
-    return min(
-        val,
-        kern.bound_breakpoint_min(
-            cum_c,
-            cum_p,
-            densities,
-            start,
-            base_workload,
-            base_penalty,
-            w_hi,
-            suffix_total,
-            cap,
-            energy_fn,
-        ),
-    )
+    return bound
 
 
 def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
@@ -149,6 +183,7 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
     # identical on either kernel (left-to-right accumulation).
     cum_c = [float(x) for x in kern.prefix_sums(cycles)]
     cum_p = [float(x) for x in kern.prefix_sums(penalties)]
+    bound = suffix_bound(g_all, cap, densities, cum_c, cum_p)
 
     incumbent = greedy_marginal(problem)
     best_cost = incumbent.cost
@@ -169,18 +204,7 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
                 best_accept_ranks = [k for k in range(n) if chosen[k]]
                 incumbents += 1
             return
-        bound = _suffix_fractional_value(
-            kern,
-            g_all,
-            cap,
-            workload,
-            rejected_penalty,
-            densities,
-            cum_c,
-            cum_p,
-            depth,
-        )
-        if bound >= best_cost - 1e-12:
+        if bound(depth, workload, rejected_penalty) >= best_cost - 1e-12:
             pruned += 1
             return
         # Reject branch first (matches the relaxation's preference).

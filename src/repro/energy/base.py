@@ -145,8 +145,9 @@ class EnergyFunction(ABC):
         return self.energy(workload + delta) - self.energy(workload)
 
     def _check_workload(self, workload: float) -> float:
+        """Validate *workload* once per public call and return it as float."""
         require_nonnegative("workload", workload)
-        if not self.is_feasible(workload):
+        if not fits(workload, self.max_workload):
             raise ValueError(
                 f"workload {workload!r} exceeds the feasible maximum "
                 f"{self.max_workload!r} for deadline {self._deadline!r}"

@@ -67,7 +67,10 @@ class ContinuousEnergyFunction(EnergyFunction):
 
     def optimal_speed(self, workload: float) -> float:
         """The single constant speed used for *workload* cycles."""
-        workload = self._check_workload(workload)
+        return self._speed(self._check_workload(workload))
+
+    def _speed(self, workload: float) -> float:
+        """:meth:`optimal_speed` of an already validated workload."""
         if workload == 0.0:
             return 0.0
         return self._model.clamp_speed(workload / self._deadline)
@@ -78,7 +81,7 @@ class ContinuousEnergyFunction(EnergyFunction):
         floor = (
             self._model.static_power * self._deadline if self._include_floor else 0.0
         )
-        speed = self.optimal_speed(workload)
+        speed = self._speed(workload)
         # Denormal workloads can underflow W/D to exactly 0; they carry no
         # measurable energy either way.
         if workload == 0.0 or speed == 0.0:
@@ -88,9 +91,9 @@ class ContinuousEnergyFunction(EnergyFunction):
 
     def plan(self, workload: float) -> SpeedPlan:
         """Constant-speed plan: execute, then idle until the deadline."""
-        workload = self._check_workload(workload)
-        energy = self.energy(workload)
-        speed = self.optimal_speed(workload)
+        energy = self.energy(workload)  # validates the workload
+        workload = float(workload)
+        speed = self._speed(workload)
         if workload == 0.0 or speed == 0.0:
             segments = (SpeedSegment(0.0, self._deadline, 0.0),)
             return SpeedPlan(segments=segments, energy=energy)

@@ -99,7 +99,10 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
 
     def execution_speed(self, workload: float) -> float:
         """The constant execution speed for *workload* cycles (0 if none)."""
-        workload = self._check_workload(workload)
+        return self._speed(self._check_workload(workload))
+
+    def _speed(self, workload: float) -> float:
+        """:meth:`execution_speed` of an already validated workload."""
         if workload == 0.0:
             return 0.0
         return self._model.clamp_speed(max(workload / self._deadline, self._s_star))
@@ -117,7 +120,7 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
     def energy(self, workload: float) -> float:
         """Minimum energy for *workload* cycles under the clamped policy."""
         workload = self._check_workload(workload)
-        speed = self.execution_speed(workload)
+        speed = self._speed(workload)
         # speed == 0 covers denormal workloads whose W/D underflows (only
         # possible when the model has no leakage, hence s* == 0).
         if workload == 0.0 or speed == 0.0:
@@ -128,9 +131,9 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
 
     def plan(self, workload: float) -> SpeedPlan:
         """Execute at the clamped speed, then sleep or idle through slack."""
-        workload = self._check_workload(workload)
-        energy = self.energy(workload)
-        speed = self.execution_speed(workload)
+        energy = self.energy(workload)  # validates the workload
+        workload = float(workload)
+        speed = self._speed(workload)
         if workload == 0.0 or speed == 0.0:
             _, slept = self._slack_cost(self._deadline)
             tail = SpeedPlan.SLEEP_SPEED if slept else 0.0

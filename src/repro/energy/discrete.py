@@ -184,8 +184,8 @@ class DiscreteEnergyFunction(EnergyFunction):
 
     def plan(self, workload: float) -> SpeedPlan:
         """Speed plan: slow level, fast level, then sleep/idle slack."""
-        workload = self._check_workload(workload)
-        energy = self.energy(workload)
+        energy = self.energy(workload)  # validates the workload
+        workload = float(workload)
         segments: list[SpeedSegment] = []
         clock = 0.0
         if workload > 0.0:

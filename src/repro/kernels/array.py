@@ -24,11 +24,9 @@ import numpy as np
 from repro._validation import CAPACITY_RTOL
 from repro.kernels.base import (
     IMPROVE_RTOL,
-    SHED_ATOL,
     FrontierStep,
     Kernel,
     improves,
-    suffix_shed_cost,
 )
 
 
@@ -240,7 +238,7 @@ class NumpyKernel(Kernel):
         return best, float(costs[best])
 
     # ------------------------------------------------------------------ #
-    # Exhaustive enumeration and branch-and-bound                        #
+    # Exhaustive enumeration                                             #
     # ------------------------------------------------------------------ #
 
     def subset_sums(self, values: Sequence[float]) -> np.ndarray:
@@ -270,46 +268,6 @@ class NumpyKernel(Kernel):
         best = int(np.argmin(costs))
         return int(masks[best]), float(costs[best])
 
-    def bound_breakpoint_min(
-        self,
-        cum_c: Sequence[float],
-        cum_p: Sequence[float],
-        densities: Sequence[float],
-        start: int,
-        base_workload: float,
-        base_penalty: float,
-        w_hi: float,
-        suffix_total: float,
-        capacity: float,
-        energy_fn,
-    ) -> float:
-        cc = _as_array(cum_c)
-        cp = _as_array(cum_p)
-        dens = _as_array(densities)
-        n = len(dens)
-        offset = cc[start]
-        w = suffix_total - (cc[start:] - offset)
-        ok = (w >= 0.0) & (w <= w_hi + 1e-12)
-        if not ok.any():  # pragma: no cover - k = n always yields w = 0
-            return np.inf
-        wc = np.minimum(w[ok], w_hi)
-        rejected = suffix_total - wc
-        # Vectorised suffix_shed_cost (same arithmetic, elementwise).
-        shed = np.zeros(len(rejected))
-        positive = rejected > 0.0
-        if positive.any():
-            rej = rejected[positive]
-            target = (rej - SHED_ATOL) + offset
-            j = np.maximum(np.searchsorted(cc, target, side="left"), start + 1)
-            full = j > n
-            k = np.minimum(j, n) - 1
-            partial = (cp[k] - cp[start]) + (rej - (cc[k] - offset)) * dens[k]
-            shed[positive] = np.where(full, cp[n] - cp[start], partial)
-        energies = self.energy_table(
-            energy_fn, np.minimum(base_workload + wc, capacity)
-        )
-        return float(np.min(base_penalty + energies + shed))
-
 
 # Re-exported for symmetry with the reference backend's helpers.
-__all__ = ["NumpyKernel", "improves", "suffix_shed_cost"]
+__all__ = ["NumpyKernel", "improves"]

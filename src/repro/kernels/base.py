@@ -2,9 +2,8 @@
 
 A :class:`Kernel` bundles the array primitives behind the hot inner
 loops of the REJECT-MIN solvers — DP row relaxation, Pareto-frontier
-dominance filtering, prefix-capacity sweeps, penalty-density scoring,
-energy-table evaluation, and the branch-and-bound shed-cost search.
-Two backends implement it:
+dominance filtering, prefix-capacity sweeps, penalty-density scoring
+and energy-table evaluation.  Two backends implement it:
 
 * :mod:`repro.kernels.pyref` — the pure-python reference; always
   available, dependency-free, and the semantic ground truth.
@@ -76,11 +75,8 @@ def suffix_shed_cost(
     whole tasks from ``start`` onward are rejected until the remainder
     fits inside one task, which is charged pro rata.
 
-    This scalar form is shared verbatim by both kernels (it backs the
-    golden-section objective in the branch-and-bound relaxation); the
-    vectorised breakpoint sweep in
-    :meth:`Kernel.bound_breakpoint_min` replays the same arithmetic
-    elementwise.
+    This scalar form backs the branch-and-bound node bound
+    (:func:`repro.core.rejection.exact.suffix_bound`).
     """
     if rejected <= 0.0:
         return 0.0
@@ -327,7 +323,7 @@ class Kernel(ABC):
         """First index minimising ``g(min(w, capacity)) + p`` and its cost."""
 
     # ------------------------------------------------------------------ #
-    # Exhaustive enumeration and branch-and-bound                        #
+    # Exhaustive enumeration                                             #
     # ------------------------------------------------------------------ #
 
     @abstractmethod
@@ -354,34 +350,6 @@ class Kernel(ABC):
         ``cost = g(min(w, capacity)) + (total_penalty -
         accepted_penalties[mask])``; returns the first mask attaining the
         minimum and its cost.
-        """
-
-    @abstractmethod
-    def bound_breakpoint_min(
-        self,
-        cum_c: Sequence[float],
-        cum_p: Sequence[float],
-        densities: Sequence[float],
-        start: int,
-        base_workload: float,
-        base_penalty: float,
-        w_hi: float,
-        suffix_total: float,
-        capacity: float,
-        energy_fn,
-    ) -> float:
-        """Minimum of the fractional bound over its shed breakpoints.
-
-        For each ``k`` in ``[start, n]`` with
-        ``w_k = suffix_total - (cum_c[k] - cum_c[start])`` and
-        ``0 <= w_k <= w_hi + 1e-12``, evaluates (at ``wc = min(w_k,
-        w_hi)``)::
-
-            base_penalty + g(min(base_workload + wc, capacity))
-                         + suffix_shed_cost(..., suffix_total - wc)
-
-        and returns the minimum (``inf`` if no breakpoint qualifies,
-        which cannot happen: ``k = n`` gives ``w = 0``).
         """
 
     # ------------------------------------------------------------------ #

@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.kernels.base import (
-    FrontierStep,
-    Kernel,
-    improves,
-    suffix_shed_cost,
-)
+from repro.kernels.base import FrontierStep, Kernel, improves
 
 _INF = math.inf
 
@@ -228,7 +223,7 @@ class PythonKernel(Kernel):
         return best, best_cost
 
     # ------------------------------------------------------------------ #
-    # Exhaustive enumeration and branch-and-bound                        #
+    # Exhaustive enumeration                                             #
     # ------------------------------------------------------------------ #
 
     def subset_sums(self, values: Sequence[float]) -> list[float]:
@@ -259,35 +254,3 @@ class PythonKernel(Kernel):
             if cost < best_cost:
                 best, best_cost = mask, cost
         return best, best_cost
-
-    def bound_breakpoint_min(
-        self,
-        cum_c: Sequence[float],
-        cum_p: Sequence[float],
-        densities: Sequence[float],
-        start: int,
-        base_workload: float,
-        base_penalty: float,
-        w_hi: float,
-        suffix_total: float,
-        capacity: float,
-        energy_fn,
-    ) -> float:
-        energy = energy_fn.energy
-        val = _INF
-        offset = cum_c[start]
-        for k in range(start, len(densities) + 1):
-            w = suffix_total - (cum_c[k] - offset)
-            if not 0.0 <= w <= w_hi + 1e-12:
-                continue
-            wc = min(w, w_hi)
-            cost = (
-                base_penalty
-                + energy(min(base_workload + wc, capacity))
-                + suffix_shed_cost(
-                    cum_c, cum_p, densities, start, suffix_total - wc
-                )
-            )
-            if cost < val:
-                val = cost
-        return val

@@ -136,7 +136,9 @@ class ServiceMetrics:
                 hist = self._histograms[endpoint] = LatencyHistogram()
             by_status = self._statuses.setdefault(endpoint, {})
             by_status[status] = by_status.get(status, 0) + 1
-        hist.observe(seconds)
+            # Under the same lock as the status count, so a snapshot
+            # never sees one without the other.
+            hist.observe(seconds)
 
     @property
     def total_requests(self) -> int:
@@ -161,14 +163,11 @@ class ServiceMetrics:
                 mine = self._statuses.setdefault(endpoint, {})
                 for code, n in by_status.items():
                     mine[code] = mine.get(code, 0) + n
-            merged = []
             for endpoint, theirs in hists.items():
                 hist = self._histograms.get(endpoint)
                 if hist is None:
                     hist = self._histograms[endpoint] = LatencyHistogram()
-                merged.append((hist, theirs))
-        for hist, theirs in merged:
-            hist.merge(theirs)
+                hist.merge(theirs)
 
     def endpoint_series(self) -> list[tuple[str, dict[int, int], list[int], int, float]]:
         """Stable snapshot for exposition: one row per endpoint, sorted,
@@ -179,12 +178,11 @@ class ServiceMetrics:
                 endpoint: dict(self._statuses.get(endpoint, {}))
                 for endpoint in endpoints
             }
-            hists = dict(self._histograms)
-        out = []
-        for endpoint in endpoints:
-            counts, count, sum_s = hists[endpoint].snapshot()
-            out.append((endpoint, statuses[endpoint], counts, count, sum_s))
-        return out
+            snaps = [self._histograms[e].snapshot() for e in endpoints]
+        return [
+            (endpoint, statuses[endpoint], counts, count, sum_s)
+            for endpoint, (counts, count, sum_s) in zip(endpoints, snaps)
+        ]
 
     @staticmethod
     def bucket_bounds() -> tuple[float, ...]:
@@ -198,17 +196,17 @@ class ServiceMetrics:
                 endpoint: dict(self._statuses.get(endpoint, {}))
                 for endpoint in endpoints
             }
-            hists = dict(self._histograms)
+            latency = {e: self._histograms[e].as_dict() for e in endpoints}
         return {
             "uptime_s": time.time() - self.started_at,
-            "total_requests": sum(h.count for h in hists.values()),
+            "total_requests": sum(h["count"] for h in latency.values()),
             "endpoints": {
                 endpoint: {
                     "statuses": {
                         str(code): n
                         for code, n in sorted(statuses[endpoint].items())
                     },
-                    "latency": hists[endpoint].as_dict(),
+                    "latency": latency[endpoint],
                 }
                 for endpoint in endpoints
             },

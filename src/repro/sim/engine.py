@@ -556,7 +556,12 @@ class ArrivalSimulator:
             for c, job in enumerate(running):
                 if job is None:
                     continue
-                if job.remaining <= 1e-9 and job.overhead_s <= 1e-12:
+                # The second test retires a job whose time left is below
+                # half an ulp of ``now``: it can never advance the clock,
+                # and the loop would spin on ``dt == 0`` forever.
+                if (job.remaining <= 1e-9 and job.overhead_s <= 1e-12) or (
+                    now + job.overhead_s + job.remaining / exec_rates[c] == now
+                ):
                     running[c] = None
                     completed += 1
                     entry = open_jobs.pop(job.name)

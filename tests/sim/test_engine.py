@@ -349,3 +349,27 @@ class TestSloSummary:
         assert res.objective.name == "resp_tight"
         assert res.samples == report.completed
         assert res.good == 0  # nothing responds in a picosecond
+
+
+class TestRunLoopTermination:
+    def test_job_shorter_than_half_an_ulp_of_now_retires(self):
+        # At t = 2**60 an ulp is 256 s, so the 64-unit job's 3.2 ms of
+        # service cannot advance the clock: ``now + remaining / rate ==
+        # now``.  The loop must retire it instead of spinning on dt == 0.
+        import threading
+
+        a = one_arrival(time=2.0**60, n=8, deadline_s=2.0)
+        assert 2.0**60 + a.units / 20_000.0 == 2.0**60
+        box = []
+        worker = threading.Thread(
+            target=lambda: box.append(simulate((a,), cores=1)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "run loop livelocked on dt == 0"
+        (report,) = box
+        assert report.completed == 1
+        record = report.records[0]
+        assert record.outcome == "completed"
+        assert record.start == record.finish == 2.0**60
+        assert not record.missed
